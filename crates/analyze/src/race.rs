@@ -9,12 +9,13 @@
 //!
 //! The CI set ([`ci_reports`]) mirrors the shapes the crawler actually
 //! runs on the executor — tied retry deadlines, a shared append log
-//! canonicalized before output, a narrow admission window — and must
-//! stay clean. [`sensitive_report`] is the deliberately order-sensitive
-//! counter-model (last tied writer wins); the test suite asserts the
-//! explorer *catches* it, which is what gives the clean runs their
-//! meaning.
+//! canonicalized before output, a narrow admission window, tied
+//! reservations on one real token bucket — and must stay clean.
+//! [`sensitive_report`] is the deliberately order-sensitive counter-model
+//! (last tied writer wins); the test suite asserts the explorer *catches*
+//! it, which is what gives the clean runs their meaning.
 
+use flock_apis::ratelimit::{RatePolicy, TokenBucket};
 use flock_sched::explore::{ExploreError, Explorer, Outcome};
 use flock_sched::{Step, Task};
 use parking_lot::Mutex;
@@ -181,6 +182,101 @@ fn windowed_admission() -> ModelReport {
     }
 }
 
+/// A task that sends `requests` logical requests, one after another, to
+/// a token bucket it shares with every other task — the crawler's shape
+/// on a rate-limited endpoint: a refusal is a reservation, and the task
+/// parks exactly until its slot. Every task first parks until `start`,
+/// so all of them reach the bucket at one tied instant.
+struct Reserver {
+    id: usize,
+    bucket: Arc<Mutex<TokenBucket>>,
+    start: u64,
+    requests: usize,
+    sent: usize,
+    attempts: u64,
+    grants: Vec<u64>,
+}
+
+impl Task for Reserver {
+    type Bill = usize;
+    fn poll(&mut self, now: u64) -> Step<usize> {
+        if now < self.start {
+            return Step::Wait {
+                until: self.start,
+                bill: self.id,
+            };
+        }
+        if self.sent == self.requests {
+            return Step::Done;
+        }
+        self.attempts += 1;
+        let key = format!("{}:{}", self.id, self.sent);
+        match self.bucket.lock().try_acquire(now, &key) {
+            Ok(()) => {
+                self.sent += 1;
+                self.grants.push(now);
+                Step::Ready
+            }
+            Err(wait) => Step::Wait {
+                until: now.saturating_add(wait),
+                bill: self.id,
+            },
+        }
+    }
+}
+
+/// Tasks in the tied-reservation model: 6! = 720 orderings of the tie.
+const RESERVERS: usize = 6;
+
+/// The tied-reservation model's task set, on a fresh bucket.
+fn reservers() -> Vec<Reserver> {
+    let bucket = Arc::new(Mutex::new(TokenBucket::new(
+        RatePolicy {
+            capacity: 2,
+            window_secs: 6,
+        },
+        0,
+    )));
+    (0..RESERVERS)
+        .map(|id| Reserver {
+            id,
+            bucket: Arc::clone(&bucket),
+            start: 10,
+            requests: 2,
+            sent: 0,
+            attempts: 0,
+            grants: Vec::new(),
+        })
+        .collect()
+}
+
+/// Model 4: six tasks reach one bucket (two tokens, one more every 3 s)
+/// at the same instant, two requests each. The tie order decides which
+/// task gets which slot, but not the slots handed out: the artifact is
+/// the sorted grant instants, the grant and attempt totals and the
+/// reservations left over. The explorer adds that the final clock — the
+/// last slot — is the same in every order, and that the charged waits
+/// sum to it.
+fn tied_reservations() -> ModelReport {
+    ModelReport {
+        name: "tied-reservations",
+        result: Explorer::default().explore(reservers, |tasks: &[Reserver]| {
+            let mut grants: Vec<u64> = tasks.iter().flat_map(|t| t.grants.clone()).collect();
+            grants.sort_unstable();
+            let attempts: u64 = tasks.iter().map(|t| t.attempts).sum();
+            let pending = tasks.first().map_or(0, |t| t.bucket.lock().pending());
+            let mut out = Vec::with_capacity(8 * (grants.len() + 3));
+            for v in [grants.len() as u64, attempts, pending as u64]
+                .into_iter()
+                .chain(grants)
+            {
+                out.extend_from_slice(&v.to_be_bytes());
+            }
+            out
+        }),
+    }
+}
+
 /// The deliberately order-sensitive counter-model: three tasks wake at
 /// one tied instant and each overwrites a shared slot; the artifact
 /// exposes the last writer. The explorer must report divergence.
@@ -237,6 +333,7 @@ pub fn ci_reports() -> Vec<ModelReport> {
         tied_retry_deadlines(),
         shared_log_canonicalized(),
         windowed_admission(),
+        tied_reservations(),
     ]
 }
 
@@ -246,7 +343,12 @@ mod tests {
 
     #[test]
     fn ci_models_are_clean_and_genuinely_branchy() {
-        for report in ci_reports() {
+        let reports = ci_reports();
+        assert!(
+            reports.iter().any(|r| r.name == "tied-reservations"),
+            "the CI set must check the rate limiter's reservations"
+        );
+        for report in reports {
             let outcome = report.result.as_ref().unwrap_or_else(|e| {
                 panic!("{} failed: {e}", report.name);
             });
@@ -265,6 +367,22 @@ mod tests {
         let outcome = report.result.expect("clean model");
         assert_eq!(outcome.schedules, 120);
         assert_eq!(outcome.max_tied, 5);
+    }
+
+    #[test]
+    fn tied_reservations_cost_one_refusal_per_reserved_request() {
+        let report = tied_reservations();
+        let outcome = report.result.expect("clean model");
+        assert_eq!(outcome.schedules, 720);
+        assert_eq!(outcome.max_tied, RESERVERS);
+        // The artifact of the canonical order: 12 grants, 2 at once and
+        // 10 reserved; each reserved request is refused once, granted
+        // once; no reservation is left over; the last slot is 10 + 30.
+        let (done, clock) = flock_sched::explore::canonical_run(usize::MAX, reservers(), |_, _| {});
+        assert_eq!(clock, 40);
+        let grants: usize = done.iter().map(|t| t.grants.len()).sum();
+        let attempts: u64 = done.iter().map(|t| t.attempts).sum();
+        assert_eq!((grants, attempts), (12, 2 + 2 * 10));
     }
 
     #[test]

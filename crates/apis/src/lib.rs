@@ -10,7 +10,8 @@
 //!   operators the paper's collection used;
 //! * **token-bucket rate limits** on a virtual clock ([`ratelimit`]) —
 //!   including the brutal 15-requests-per-15-minutes follows limit that
-//!   forced the paper's 10% sample;
+//!   forced the paper's 10% sample — that hand each refused request a
+//!   reservation for its token;
 //! * **opaque cursor pagination** ([`pagination`]);
 //! * crawl-time **fault injection**: down instances, suspended / deleted /
 //!   protected accounts, moved accounts answering `moved_to`, and optional

@@ -442,10 +442,10 @@ impl ApiServer {
     }
 
     /// Advance the virtual clock to at least `deadline_secs` (a `max`, not
-    /// an add). When several workers are told "retry after X" by the same
-    /// bucket, each knows the *deadline* at which a token exists; additive
-    /// advances from all of them would overshoot far past that refill
-    /// point and silently deflate the virtual crawl duration's meaning.
+    /// an add). A worker told "retry after X" knows the *deadline* at
+    /// which its reserved token exists; additive advances from several
+    /// parked workers would overshoot far past their slots and silently
+    /// deflate the virtual crawl duration's meaning.
     ///
     /// Returns the seconds this call actually moved the clock (zero when
     /// another worker already advanced past the deadline) — the exact
@@ -471,7 +471,9 @@ impl ApiServer {
     ///
     /// `key` names the *logical request* (scope + cursor / batch digest):
     /// per-key chaos budgets draw on it, so a cursed request fails the
-    /// same way no matter when or on which worker it runs.
+    /// same way no matter when or on which worker it runs, and the token
+    /// bucket files a refused request's reservation under it, so the
+    /// retry is granted at its slot.
     fn acquire(&self, which: Endpoint, key: &str) -> Result<()> {
         self.acquire_inner(which, key)?;
         // Simulated network time, spent with no lock held: concurrent
@@ -534,7 +536,7 @@ impl ApiServer {
                 ));
             }
             bucket
-                .try_acquire(clock)
+                .try_acquire(clock, key)
                 .map_err(|retry_after_secs| FlockError::RateLimited { retry_after_secs })
         };
         let result = match which {

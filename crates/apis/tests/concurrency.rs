@@ -5,7 +5,8 @@
 //! properties the crawl relies on: a bucket never over-issues no matter how
 //! acquisition interleaves, and the `retry_after_secs` it advertises is
 //! honest and monotone (waiting the advertised time always suffices, and
-//! waiting longer never makes things worse).
+//! waiting longer never makes things worse). Each logical request keeps
+//! its key across retries, as the server's callers do.
 
 use flock_apis::ratelimit::{RatePolicy, TokenBucket};
 use flock_apis::{ApiConfig, ApiServer};
@@ -29,13 +30,13 @@ fn concurrent_acquisition_never_over_issues() {
     )));
     let granted = Arc::new(AtomicU64::new(0));
     let threads: Vec<_> = (0..8)
-        .map(|_| {
+        .map(|t| {
             let bucket = Arc::clone(&bucket);
             let granted = Arc::clone(&granted);
             std::thread::spawn(move || {
-                for _ in 0..32 {
-                    // 8 × 32 = 256 attempts against 64 tokens.
-                    if bucket.lock().try_acquire(0).is_ok() {
+                for i in 0..32 {
+                    // 8 × 32 = 256 requests against 64 tokens.
+                    if bucket.lock().try_acquire(0, &format!("t{t}:r{i}")).is_ok() {
                         granted.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -60,16 +61,18 @@ fn concurrent_acquisition_respects_refill_budget() {
     let clock = Arc::new(AtomicU64::new(0));
     let granted = Arc::new(AtomicU64::new(0));
     let threads: Vec<_> = (0..4)
-        .map(|_| {
+        .map(|t| {
             let bucket = Arc::clone(&bucket);
             let clock = Arc::clone(&clock);
             let granted = Arc::clone(&granted);
             std::thread::spawn(move || {
+                let mut request = 0;
                 for _ in 0..200 {
                     let now = clock.load(Ordering::SeqCst);
-                    match bucket.lock().try_acquire(now) {
+                    match bucket.lock().try_acquire(now, &format!("t{t}:r{request}")) {
                         Ok(()) => {
                             granted.fetch_add(1, Ordering::Relaxed);
+                            request += 1;
                         }
                         Err(wait) => {
                             clock.fetch_add(wait.min(5), Ordering::SeqCst);
@@ -107,13 +110,13 @@ fn retry_after_is_monotone_and_sufficient() {
         },
         0,
     );
-    for _ in 0..3 {
-        bucket.try_acquire(0).unwrap();
+    for i in 0..3 {
+        bucket.try_acquire(0, &format!("burst{i}")).unwrap();
     }
     let mut last_deadline = u64::MAX;
     let mut now = 0u64;
     loop {
-        match bucket.try_acquire(now) {
+        match bucket.try_acquire(now, "late") {
             Ok(()) => break,
             Err(wait) => {
                 assert!(wait >= 1);
@@ -126,7 +129,7 @@ fn retry_after_is_monotone_and_sufficient() {
                 now += 7; // creep toward the deadline in odd steps
                 if now >= deadline {
                     // Waiting the advertised time must be sufficient.
-                    assert!(bucket.try_acquire(deadline).is_ok());
+                    assert!(bucket.try_acquire(deadline, "late").is_ok());
                     break;
                 }
             }

@@ -96,7 +96,7 @@ fn bench_rate_limit(c: &mut Criterion) {
         let mut now = 0u64;
         b.iter(|| {
             now += 1;
-            black_box(bucket.try_acquire(now).is_ok())
+            black_box(bucket.try_acquire(now, "bench").is_ok())
         })
     });
 }

@@ -20,7 +20,9 @@
 //!   scheduler (`tasks = Some(n)`, ≤ 8 OS threads) versus the legacy
 //!   thread-per-worker pool at the same 8 threads. The scheduler yields
 //!   instead of sleeping out per-request latency, so its acceptance bar
-//!   is ≥ 3× the thread baseline.
+//!   is ≥ 3× the thread baseline. Those requests are attempts, refusals
+//!   included; the `sched goodput:` line next to it reports what each
+//!   model was granted per second.
 //!
 //! Every entry also records a memory footprint: peak RSS (`VmHWM` from
 //! `/proc/self/status`) and the allocation count/bytes seen by a counting
@@ -145,6 +147,10 @@ struct SchedReport {
     sched_rps: f64,
     /// sched_rps / legacy_rps — the acceptance bar is ≥ 3×.
     speedup: f64,
+    /// Σ `flock.apis.*.granted` of each run: the requests the server
+    /// served, where `*_requests` also counts the ones it refused.
+    legacy_granted: u64,
+    sched_granted: u64,
 }
 
 #[derive(Serialize)]
@@ -309,7 +315,8 @@ fn bench_crawl(
 /// Drive `connections` logical Mastodon-timeline connections through a
 /// rate-limit-storm chaos crawl, once on the legacy thread-per-worker
 /// pool and once on the discrete-event scheduler, both on `os_threads`
-/// OS threads, and compare wall-clock requests/sec.
+/// OS threads, and compare wall-clock requests/sec (attempts) and the
+/// requests each run was granted.
 fn bench_sched(
     world: &Arc<World>,
     latency_micros: u64,
@@ -324,36 +331,44 @@ fn bench_sched(
         .expect("discover");
     assert!(!base.matched.is_empty(), "discovery found no matched users");
 
-    let run = |tasks: Option<usize>| -> (u64, f64) {
+    let run = |tasks: Option<usize>| -> (u64, u64, f64) {
         // Fresh server per run: same storm plan, same drained-from-full
         // buckets, same per-key chaos budgets for both execution models.
-        let api = ApiServer::new(
+        let obs = Registry::new();
+        let api = ApiServer::with_obs(
             world.clone(),
             ApiConfig {
                 request_latency_micros: latency_micros,
                 chaos: Scenario::RateLimitStorm.plan(1234),
                 ..ApiConfig::default()
             },
+            obs.clone(),
         )
         .expect("valid bench config");
-        let crawler = Crawler::new(
+        let crawler = Crawler::with_registry(
             &api,
             CrawlerConfig {
                 workers: os_threads,
                 tasks,
                 ..CrawlerConfig::default()
             },
+            obs.clone(),
         )
         .expect("valid crawler config");
         let t = Instant::now();
         let requests = crawler
             .drive_connections(&base, connections)
             .expect("storm crawl");
-        (requests, t.elapsed().as_secs_f64())
+        let secs = t.elapsed().as_secs_f64();
+        let granted = ["search", "users", "follows", "mastodon"]
+            .iter()
+            .filter_map(|f| obs.counter_value(&format!("flock.apis.{f}.granted")))
+            .sum();
+        (requests, granted, secs)
     };
 
-    let (legacy_requests, legacy_secs) = run(None);
-    let (sched_requests, sched_secs) = run(Some(connections));
+    let (legacy_requests, legacy_granted, legacy_secs) = run(None);
+    let (sched_requests, sched_granted, sched_secs) = run(Some(connections));
     let legacy_rps = legacy_requests as f64 / legacy_secs;
     let sched_rps = sched_requests as f64 / sched_secs;
     SchedReport {
@@ -366,6 +381,8 @@ fn bench_sched(
         sched_secs,
         sched_rps,
         speedup: sched_rps / legacy_rps,
+        legacy_granted,
+        sched_granted,
     }
 }
 
@@ -537,6 +554,13 @@ fn main() {
     eprintln!(
         "sched: {} connections on {} threads: scheduler {:.0} rps vs threads {:.0} rps ({:.1}x)",
         sched.connections, sched.os_threads, sched.sched_rps, sched.legacy_rps, sched.speedup
+    );
+    eprintln!(
+        "sched goodput: scheduler {:.0} granted/s ({} granted) vs threads {:.0} granted/s ({} granted)",
+        sched.sched_granted as f64 / sched.sched_secs,
+        sched.sched_granted,
+        sched.legacy_granted as f64 / sched.legacy_secs,
+        sched.legacy_granted
     );
 
     let mem = mem_snapshot();

@@ -388,14 +388,17 @@ impl<'a> Crawler<'a> {
 
     /// Rate-limit-aware, transient-retrying request wrapper.
     ///
-    /// Rate limits are waited out with [`ApiServer::advance_clock_to`]
-    /// against a deadline computed from the clock **before** the attempt:
-    /// when several workers are parked on the same bucket, each advance is
-    /// a `max` to the shared refill point, where the old additive
-    /// `advance_clock(retry_after_secs)` stacked all the waits and
-    /// overshot it. The cumulative wait per logical request is capped by
-    /// `max_rate_limit_wait_secs` so a non-refilling bucket surfaces as a
-    /// typed error instead of a livelock.
+    /// A rate-limit refusal carries a reservation: `retry_after_secs` is
+    /// the exact wait until this request's own token exists, so the
+    /// retry of the same logical request after that wait is granted. It
+    /// is waited out with [`ApiServer::advance_clock_to`] against a
+    /// deadline computed from the clock **before** the attempt — a `max`,
+    /// so workers parked on one bucket each move the clock at most to
+    /// their own slot instead of stacking their waits. The cumulative
+    /// wait per logical request is capped by `max_rate_limit_wait_secs`
+    /// so a non-refilling bucket surfaces as a typed error instead of a
+    /// livelock; a reservation dropped that way costs the bucket one
+    /// token interval.
     ///
     /// Every call opens one **logical request span** (trace id = current
     /// phase, label = the caller-supplied request name) and records one

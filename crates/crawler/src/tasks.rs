@@ -5,10 +5,16 @@
 //! instead of the thread-per-item worker pool: each work item (one
 //! timeline, one followee record, one instance's activity) becomes a
 //! lightweight state machine that *yields* whenever the legacy code would
-//! have advanced the virtual clock — rate-limit refills, outage windows,
+//! have advanced the virtual clock — rate-limit slots, outage windows,
 //! transient backoffs — and the executor multiplexes thousands of such
 //! logical connections over a handful of OS threads, advancing the clock
 //! only when nothing is runnable.
+//!
+//! A rate-limit refusal reserves the request's token (see
+//! `flock_apis::ratelimit`): the task parks until exactly its own slot and
+//! its retry there is granted. Tasks parked on one bucket therefore wake
+//! one per slot, in reservation order, and each logical request costs at
+//! most one refusal plus one grant however wide the task window is.
 //!
 //! The state machines here mirror the legacy per-item functions in
 //! `pipeline.rs` step for step: the same spans, the same attempt records,

@@ -130,8 +130,6 @@ impl MigrationStudy {
     /// waves, per-endpoint-family API counters, crawl phase spans — into
     /// `obs` along the way.
     pub fn run_with_obs(config: &WorldConfig, obs: &Registry) -> Result<MigrationStudy> {
-        let world = Arc::new(World::generate(config)?);
-        flock_fedisim::emit_migration_telemetry(&world.accounts, obs);
         Self::run_configured(
             config,
             flock_apis::ApiConfig::default(),

@@ -8,6 +8,8 @@ use flock_analysis::{cumulative_share, gini, top_fraction_share, Ecdf};
 use flock_apis::pagination::{decode, encode, Page};
 use flock_apis::{Query, RatePolicy, TokenBucket, TweetDoc};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Strategy: a syntactically valid Mastodon username.
 fn username() -> impl Strategy<Value = String> {
@@ -210,12 +212,71 @@ proptest! {
         let mut bucket = TokenBucket::new(policy, 0);
         // Greedy client at t = 0: grants must not exceed the burst budget.
         let mut granted = 0u64;
-        for _ in 0..requests {
-            if bucket.try_acquire(0).is_ok() {
+        for i in 0..requests {
+            if bucket.try_acquire(0, &i.to_string()).is_ok() {
                 granted += 1;
             }
         }
         prop_assert!(granted <= u64::from(capacity));
+    }
+
+    #[test]
+    fn token_bucket_reservations_never_outrun_the_policy(
+        capacity in 1u32..5,
+        window in 1u64..30,
+        callers in proptest::collection::vec((0u64..60, 0u8..8), 1..40),
+    ) {
+        // Each caller sends one logical request at its arrival time. On a
+        // refusal kinds 0–5 come back exactly when told, kind 6 a window
+        // late, kind 7 never.
+        let policy = RatePolicy { capacity, window_secs: window };
+        let mut bucket = TokenBucket::new(policy, 0);
+        let mut due: BinaryHeap<Reverse<(u64, u64, usize)>> = callers
+            .iter()
+            .enumerate()
+            .map(|(i, &(arrival, _))| Reverse((arrival, arrival, i)))
+            .collect();
+        // The instant each grant's token was spent: its slot when the
+        // caller was told to wait, else the grant itself.
+        let mut spent = Vec::new();
+        let mut attempts = vec![0u32; callers.len()];
+        let mut served = vec![false; callers.len()];
+        while let Some(Reverse((now, slot, i))) = due.pop() {
+            attempts[i] += 1;
+            match bucket.try_acquire(now, &i.to_string()) {
+                Ok(()) => {
+                    served[i] = true;
+                    spent.push(slot);
+                }
+                Err(wait) => match callers[i].1 {
+                    7 => {}
+                    kind => {
+                        let late = if kind == 6 { window } else { 0 };
+                        due.push(Reverse((now + wait + late, now + wait, i)));
+                    }
+                },
+            }
+        }
+        // Over any span of time, tokens spent fit the burst plus the refill.
+        spent.sort_unstable();
+        for (a, &ta) in spent.iter().enumerate() {
+            for (b, &tb) in spent.iter().enumerate().skip(a) {
+                let budget = u64::from(capacity) + (tb - ta) * u64::from(capacity) / window;
+                prop_assert!(
+                    (b - a + 1) as u64 <= budget,
+                    "{} tokens spent in [{ta}, {tb}] > {budget}",
+                    b - a + 1
+                );
+            }
+        }
+        // Every caller that comes back, on time or late, is served after
+        // at most one refusal.
+        for (i, &(_, kind)) in callers.iter().enumerate() {
+            if kind < 7 {
+                prop_assert!(served[i], "caller {i} never served");
+                prop_assert!(attempts[i] <= 2, "caller {i}: {} attempts", attempts[i]);
+            }
+        }
     }
 
     #[test]
